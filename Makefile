@@ -1,7 +1,8 @@
 # Tier-1 gate: everything a change must keep green before merging.
 # `make` or `make check` runs vet + build + full tests, then the race
 # detector over the concurrent packages (the slot engine's worker pool in
-# internal/interconnect and the parallel breaker pool in internal/core).
+# internal/interconnect, the parallel breaker pool in internal/core, the
+# cluster and grant runtimes and the frame codec they share).
 # CI (.github/workflows/ci.yml) enforces `fmt-check` and `check` on every
 # push and pull request, plus short fuzz and benchmark smoke jobs, the
 # `serve-smoke` grant-service integration run (wdmserve driven by wdmload
@@ -46,7 +47,7 @@ test:
 race:
 	$(GO) test -race ./internal/interconnect ./internal/core ./internal/telemetry \
 		./internal/metrics ./internal/cluster ./internal/traffic ./internal/soak \
-		./internal/grant
+		./internal/grant ./internal/wire
 
 fmt:
 	gofmt -l -w .
@@ -65,11 +66,18 @@ fuzz:
 	$(GO) test -fuzz FuzzSeqDistStatsEquivalence -fuzztime $(FUZZTIME) ./internal/interconnect
 
 # Short deterministic-budget fuzz pass used by CI: the scheduler
-# equivalence fuzzer (masked degraded instances included) and the
-# sequential-vs-distributed engine fuzzer.
+# equivalence fuzzer (masked degraded instances included), the
+# sequential-vs-distributed engine fuzzer, and the parsers of bytes from
+# outside the process: the shared frame reader under both protocols'
+# parameters, the cluster node's schedule and config decoders, and the
+# compressed trace reader.
 fuzz-short:
 	$(GO) test -fuzz FuzzCircularSchedulersAgree -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz FuzzSeqDistStatsEquivalence -fuzztime $(FUZZTIME) ./internal/interconnect
+	$(GO) test -fuzz FuzzFrame -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -fuzz FuzzNodeSchedule -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -fuzz FuzzNodeConfig -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -fuzz FuzzTraceReader -fuzztime $(FUZZTIME) ./internal/traffic
 
 # Append the next point of the perf-trajectory record: engine run-time
 # metrics as JSON in BENCH_<n>.json, n = first unused index. Commit the

@@ -37,6 +37,7 @@ import (
 	"syscall"
 
 	wdm "wdmsched"
+	"wdmsched/internal/wire"
 )
 
 func main() {
@@ -63,13 +64,7 @@ func run(args []string, stderr io.Writer) int {
 	}
 
 	logger := log.New(stderr, "wdmnode: ", log.LstdFlags)
-	network, address := "tcp", *listen
-	if rest, ok := strings.CutPrefix(address, "unix:"); ok {
-		network, address = "unix", rest
-	} else if strings.Contains(address, "/") {
-		network = "unix"
-	}
-	ln, err := net.Listen(network, address)
+	ln, err := net.Listen(wire.SplitAddr(*listen))
 	if err != nil {
 		fmt.Fprintf(stderr, "wdmnode: %v\n", err)
 		return 1
@@ -134,7 +129,7 @@ func run(args []string, stderr io.Writer) int {
 		}
 	}()
 
-	logger.Printf("serving on %s://%s", network, ln.Addr())
+	logger.Printf("serving on %s://%s", ln.Addr().Network(), ln.Addr())
 	if err := node.Serve(ln); err != nil {
 		fmt.Fprintf(stderr, "wdmnode: %v\n", err)
 		return 1

@@ -18,6 +18,7 @@ import (
 	"wdmsched/internal/telemetry"
 	"wdmsched/internal/traffic"
 	"wdmsched/internal/wavelength"
+	"wdmsched/internal/wire"
 )
 
 // ControllerConfig describes a cluster run: which nodes to shard the
@@ -200,7 +201,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 				if err == nil {
 					return
 				}
-				var verr *VersionError
+				var verr *wire.VersionError
 				if errors.As(err, &verr) {
 					// A protocol mismatch will not heal by waiting;
 					// fail the whole controller fast with both versions.
@@ -507,7 +508,7 @@ func (l *link) rpc(slot int64) error {
 			l.tr = nil
 			l.healthy.Store(false)
 		}
-		var verr *VersionError
+		var verr *wire.VersionError
 		if errors.As(err, &verr) {
 			return err // a protocol mismatch will not heal; skip the retries
 		}
@@ -522,36 +523,12 @@ func (l *link) rpc(slot int64) error {
 func (l *link) attempt(slot int64) error {
 	l.seq++
 	spanID := l.seq<<20 | uint64(l.id)
-	reqs := l.ctrl.curReqs
 	encStart := telemetry.NowNS()
-	b := l.payload[:0]
-	b = putU64(b, l.seq)
-	b = putU64(b, uint64(slot))
-	b = putU64(b, l.ctrl.runID)
-	b = putU64(b, spanID)
-	b = putI64(b, 0) // t0, patched below at send time
-	b = putU32(b, uint32(len(l.items)))
-	for _, i := range l.items {
-		req := &reqs[i]
-		b = putU32(b, uint32(req.Port))
-		for _, c := range req.Count {
-			b = putU16(b, uint16(c))
-		}
-		b = appendOccupied(b, req.Occupied)
-		if req.Mask != nil {
-			b = append(b, 1)
-			for _, s := range req.Mask {
-				b = append(b, byte(s))
-			}
-		} else {
-			b = append(b, 0)
-		}
-	}
-	l.payload = b
+	l.payload = appendSchedule(l.payload[:0], l.seq, uint64(slot), l.ctrl.runID, spanID, l.ctrl.curReqs, l.items)
 	encEnd := telemetry.NowNS()
 	l.ctrl.stats.EncodeTime.Observe(time.Duration(encEnd - encStart))
 	t0 := telemetry.NowNS()
-	patchU64(l.payload, schedT0Off, uint64(t0))
+	wire.PatchU64(l.payload, schedT0Off, uint64(t0))
 	if err := l.tr.send(msgSchedule, l.payload); err != nil {
 		return err
 	}
@@ -572,6 +549,35 @@ func (l *link) attempt(slot int64) error {
 			Port: -1, ID: spanID, Start: t0, Dur: t5 - t0})
 	}
 	return nil
+}
+
+// appendSchedule encodes one schedule payload carrying reqs[i] for each i
+// in items. The t0 stamp is left zero for the sender to patch at
+// schedT0Off.
+func appendSchedule(b []byte, seq, slot, run, span uint64, reqs []interconnect.BatchRequest, items []int) []byte {
+	b = wire.U64(b, seq)
+	b = wire.U64(b, slot)
+	b = wire.U64(b, run)
+	b = wire.U64(b, span)
+	b = wire.I64(b, 0) // t0
+	b = wire.U32(b, uint32(len(items)))
+	for _, i := range items {
+		req := &reqs[i]
+		b = wire.U32(b, uint32(req.Port))
+		for _, c := range req.Count {
+			b = wire.U16(b, uint16(c))
+		}
+		b = appendOccupied(b, req.Occupied)
+		if req.Mask != nil {
+			b = append(b, 1)
+			for _, s := range req.Mask {
+				b = append(b, byte(s))
+			}
+		} else {
+			b = append(b, 0)
+		}
+	}
+	return b
 }
 
 // observeSync folds one RPC's piggybacked node stamps into the link's
@@ -597,15 +603,15 @@ func (l *link) decodeGrants(payload []byte, spanID uint64) error {
 	reqs, out := l.ctrl.curReqs, l.ctrl.curOut
 	st := l.ctrl.stats
 	k := l.ctrl.cfg.Conv.K()
-	r := reader{b: payload}
-	r.u64() // seq, already matched by expect
-	r.u64() // slot echo
-	span := r.u64()
-	l.gt[0] = r.i64() // t1: node received the schedule frame
-	l.gt[1] = r.i64() // t2: node finished decoding
-	l.gt[2] = r.i64() // t3: node schedule barrier done
-	l.gt[3] = r.i64() // t4: node finished encoding the reply
-	items := int(r.u32())
+	r := wire.NewReader(payload)
+	r.U64() // seq, already matched by expect
+	r.U64() // slot echo
+	span := r.U64()
+	l.gt[0] = r.I64() // t1: node received the schedule frame
+	l.gt[1] = r.I64() // t2: node finished decoding
+	l.gt[2] = r.I64() // t3: node schedule barrier done
+	l.gt[3] = r.I64() // t4: node finished encoding the reply
+	items := int(r.U32())
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -619,7 +625,7 @@ func (l *link) decodeGrants(payload []byte, spanID uint64) error {
 		return fmt.Errorf("cluster: grants carry %d items, want %d", items, len(l.items))
 	}
 	for _, i := range l.items {
-		port := int(r.u32())
+		port := int(r.U32())
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -629,7 +635,7 @@ func (l *link) decodeGrants(payload []byte, spanID uint64) error {
 		if err := readResult(&r, k, out[i].Res); err != nil {
 			return err
 		}
-		hasShadow := r.u8() != 0
+		hasShadow := r.U8() != 0
 		if hasShadow != (out[i].Shadow != nil) {
 			return fmt.Errorf("cluster: port %d shadow presence %v, want %v", port, hasShadow, out[i].Shadow != nil)
 		}
@@ -699,7 +705,7 @@ func (l *link) disconnect(slot int64) {
 // connect dials the node and runs the hello/config handshake under the
 // RPC deadline. On success the link is healthy and configured.
 func (l *link) connect() error {
-	network, address := splitAddr(l.addr)
+	network, address := wire.SplitAddr(l.addr)
 	c, err := net.DialTimeout(network, address, l.ctrl.cfg.RPCTimeout)
 	if err != nil {
 		return err
@@ -712,7 +718,7 @@ func (l *link) connect() error {
 	tr.framesIn = &l.ctrl.stats.FramesReceived
 	l.tr = tr
 	nonce := l.rng.Uint64()
-	hb := putU64(nil, nonce)
+	hb := wire.U64(nil, nonce)
 	ok := false
 	defer func() {
 		if !ok {
@@ -727,8 +733,8 @@ func (l *link) connect() error {
 	if err != nil {
 		return err
 	}
-	r := reader{b: payload}
-	if got := r.u64(); r.Err() != nil || got != nonce {
+	r := wire.NewReader(payload)
+	if got := r.U64(); r.Err() != nil || got != nonce {
 		return fmt.Errorf("cluster: hello nonce mismatch from %s", l.addr)
 	}
 	if err := tr.send(msgConfig, l.ports); err != nil {
@@ -758,14 +764,14 @@ func (l *link) expect(want msgType, seq uint64) ([]byte, error) {
 		}
 		switch mt {
 		case msgError:
-			r := reader{b: payload}
-			r.u64()
-			return nil, fmt.Errorf("cluster: node %s: %s", l.addr, r.str())
+			r := wire.NewReader(payload)
+			r.U64()
+			return nil, fmt.Errorf("cluster: node %s: %s", l.addr, r.Str())
 		case want:
 			switch want {
 			case msgGrants, msgHelloAck, msgPong:
-				r := reader{b: payload}
-				if r.u64() != seq || r.Err() != nil {
+				r := wire.NewReader(payload)
+				if r.U64() != seq || r.Err() != nil {
 					continue // stale duplicate
 				}
 			}
@@ -783,19 +789,19 @@ func (l *link) expect(want msgType, seq uint64) ([]byte, error) {
 func (l *link) encodeConfig() []byte {
 	cfg := l.ctrl.cfg
 	conv := cfg.Conv
-	b := putU32(nil, uint32(cfg.N))
+	b := wire.U32(nil, uint32(cfg.N))
 	b = append(b, byte(conv.Kind()))
-	b = putU32(b, uint32(conv.K()))
-	b = putU32(b, uint32(conv.MinusReach()))
-	b = putU32(b, uint32(conv.PlusReach()))
-	b = putString(b, cfg.Scheduler)
+	b = wire.U32(b, uint32(conv.K()))
+	b = wire.U32(b, uint32(conv.MinusReach()))
+	b = wire.U32(b, uint32(conv.PlusReach()))
+	b = wire.String(b, cfg.Scheduler)
 	var ports []int
 	for o := l.id; o < cfg.N; o += len(cfg.Addrs) {
 		ports = append(ports, o)
 	}
-	b = putU32(b, uint32(len(ports)))
+	b = wire.U32(b, uint32(len(ports)))
 	for _, o := range ports {
-		b = putU32(b, uint32(o))
+		b = wire.U32(b, uint32(o))
 	}
 	return b
 }

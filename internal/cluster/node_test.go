@@ -5,24 +5,27 @@ import (
 	"sync"
 	"testing"
 
+	"wdmsched/internal/core"
+	"wdmsched/internal/interconnect"
 	"wdmsched/internal/metrics"
 	"wdmsched/internal/telemetry"
 	"wdmsched/internal/wavelength"
+	"wdmsched/internal/wire"
 )
 
 // buildConfigPayload hand-encodes a config frame for a session hosting
 // the given ports of an n×n interconnect with k wavelengths (circular,
 // e=f=1, exact scheduling).
 func buildConfigPayload(n, k int, ports []int) []byte {
-	b := putU32(nil, uint32(n))
+	b := wire.U32(nil, uint32(n))
 	b = append(b, byte(wavelength.Circular))
-	b = putU32(b, uint32(k))
-	b = putU32(b, 1)
-	b = putU32(b, 1)
-	b = putString(b, "exact")
-	b = putU32(b, uint32(len(ports)))
+	b = wire.U32(b, uint32(k))
+	b = wire.U32(b, 1)
+	b = wire.U32(b, 1)
+	b = wire.String(b, "exact")
+	b = wire.U32(b, uint32(len(ports)))
 	for _, p := range ports {
-		b = putU32(b, uint32(p))
+		b = wire.U32(b, uint32(p))
 	}
 	return b
 }
@@ -31,26 +34,17 @@ func buildConfigPayload(n, k int, ports []int) []byte {
 // with counts[i] and no occupancy; mask, when non-nil, applies to every
 // item. The trace context (run, span, t0) is synthetic but well-formed.
 func buildSchedulePayload(seq, slot uint64, k int, ports []int, counts [][]int, mask []byte) []byte {
-	b := putU64(nil, seq)
-	b = putU64(b, slot)
-	b = putU64(b, 0xABCD)    // run ID
-	b = putU64(b, seq<<20)   // span ID
-	b = putI64(b, 123456789) // t0
-	b = putU32(b, uint32(len(ports)))
-	occupied := make([]bool, k)
+	reqs := make([]interconnect.BatchRequest, len(ports))
+	items := make([]int, len(ports))
 	for i, p := range ports {
-		b = putU32(b, uint32(p))
-		for _, c := range counts[i] {
-			b = putU16(b, uint16(c))
+		reqs[i] = interconnect.BatchRequest{Port: p, Count: counts[i], Occupied: make([]bool, k)}
+		for _, st := range mask {
+			reqs[i].Mask = append(reqs[i].Mask, core.ChannelState(st))
 		}
-		b = appendOccupied(b, occupied)
-		if mask != nil {
-			b = append(b, 1)
-			b = append(b, mask...)
-		} else {
-			b = append(b, 0)
-		}
+		items[i] = i
 	}
+	b := appendSchedule(nil, seq, slot, 0xABCD, seq<<20, reqs, items)
+	wire.PatchU64(b, schedT0Off, 123456789)
 	return b
 }
 
@@ -179,14 +173,14 @@ func TestConfigRejectsMalformed(t *testing.T) {
 	bad := buildConfigPayload(4, 4, []int{1})
 	// Patch the scheduler name length region to an unknown name by
 	// rebuilding with a bogus name.
-	b := putU32(nil, 4)
+	b := wire.U32(nil, 4)
 	b = append(b, byte(wavelength.Circular))
-	b = putU32(b, 4)
-	b = putU32(b, 1)
-	b = putU32(b, 1)
-	b = putString(b, "no-such-scheduler")
-	b = putU32(b, 1)
-	b = putU32(b, 1)
+	b = wire.U32(b, 4)
+	b = wire.U32(b, 1)
+	b = wire.U32(b, 1)
+	b = wire.String(b, "no-such-scheduler")
+	b = wire.U32(b, 1)
+	b = wire.U32(b, 1)
 	cases["unknown name"] = b
 	_ = bad
 	for name, payload := range cases {

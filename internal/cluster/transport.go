@@ -1,16 +1,13 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"net"
-	"strings"
 	"time"
 
 	"wdmsched/internal/fault"
 	"wdmsched/internal/metrics"
+	"wdmsched/internal/wire"
 )
 
 // transport frames messages over one connection. It is not safe for
@@ -18,11 +15,9 @@ import (
 // and the node gives each session its own. Both frame buffers are reused,
 // so the steady-state send/receive path does not allocate.
 type transport struct {
-	c  net.Conn
-	br *bufio.Reader
-
+	c    net.Conn
+	fr   *wire.FrameReader
 	wbuf []byte // whole outgoing frame: header + payload + crc
-	rbuf []byte // incoming payload
 
 	// faults, when non-nil, injects frame-level drop/delay/duplication on
 	// both directions (the controller sets it; nodes run clean).
@@ -38,7 +33,7 @@ type transport struct {
 }
 
 func newTransport(c net.Conn) *transport {
-	return &transport{c: c, br: bufio.NewReaderSize(c, 64<<10)}
+	return &transport{c: c, fr: proto.NewFrameReader(c)}
 }
 
 // send frames and writes one message. Injected faults apply here: a
@@ -54,15 +49,12 @@ func (t *transport) send(mt msgType, payload []byte) error {
 // version-mismatch reply, framed in the peer's version so the peer can
 // decode the rejection.
 func (t *transport) sendVersioned(version uint8, mt msgType, payload []byte) error {
-	if len(payload) > maxPayload {
-		return fmt.Errorf("cluster: payload %d exceeds limit", len(payload))
+	p := proto
+	p.Version = version
+	var err error
+	if t.wbuf, err = p.AppendFrame(t.wbuf[:0], uint8(mt), payload); err != nil {
+		return err
 	}
-	t.wbuf = t.wbuf[:0]
-	t.wbuf = putU16(t.wbuf, wireMagic)
-	t.wbuf = append(t.wbuf, version, byte(mt))
-	t.wbuf = putU32(t.wbuf, uint32(len(payload)))
-	t.wbuf = append(t.wbuf, payload...)
-	t.wbuf = putU32(t.wbuf, crc32.ChecksumIEEE(payload))
 
 	writes := 1
 	if t.faults != nil {
@@ -96,68 +88,24 @@ func (t *transport) sendVersioned(version uint8, mt msgType, payload []byte) err
 // them), modeling a lost reply.
 func (t *transport) recv() (msgType, []byte, error) {
 	for {
-		mt, payload, err := t.recvRaw()
+		mt, payload, err := t.fr.ReadFrame()
 		if err != nil {
 			return 0, nil, err
+		}
+		if t.bytesIn != nil {
+			t.bytesIn.Add(int64(wire.HeaderLen + len(payload) + wire.CRCLen))
+		}
+		if t.framesIn != nil {
+			t.framesIn.Inc()
 		}
 		if t.faults != nil && t.faults.Fate().Drop {
 			continue // injected inbound loss
 		}
-		return mt, payload, nil
+		return msgType(mt), payload, nil
 	}
-}
-
-func (t *transport) recvRaw() (msgType, []byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(t.br, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("cluster: read header: %w", err)
-	}
-	if m := uint16(hdr[0])<<8 | uint16(hdr[1]); m != wireMagic {
-		return 0, nil, fmt.Errorf("cluster: bad magic %#04x", m)
-	}
-	if hdr[2] != wireVersion {
-		return 0, nil, &VersionError{Peer: hdr[2], Local: wireVersion}
-	}
-	mt := msgType(hdr[3])
-	n := int(uint32(hdr[4])<<24 | uint32(hdr[5])<<16 | uint32(hdr[6])<<8 | uint32(hdr[7]))
-	if n > maxPayload {
-		return 0, nil, fmt.Errorf("cluster: payload length %d exceeds limit", n)
-	}
-	if cap(t.rbuf) < n+crcLen {
-		t.rbuf = make([]byte, n+crcLen)
-	}
-	buf := t.rbuf[:n+crcLen]
-	if _, err := io.ReadFull(t.br, buf); err != nil {
-		return 0, nil, fmt.Errorf("cluster: read payload: %w", err)
-	}
-	if t.bytesIn != nil {
-		t.bytesIn.Add(int64(headerLen + n + crcLen))
-	}
-	if t.framesIn != nil {
-		t.framesIn.Inc()
-	}
-	payload := buf[:n]
-	wantCRC := uint32(buf[n])<<24 | uint32(buf[n+1])<<16 | uint32(buf[n+2])<<8 | uint32(buf[n+3])
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return 0, nil, fmt.Errorf("cluster: %v frame CRC mismatch (got %#08x want %#08x)", mt, got, wantCRC)
-	}
-	return mt, payload, nil
 }
 
 // setDeadline bounds the next read(s); zero clears it.
 func (t *transport) setReadDeadline(d time.Time) error { return t.c.SetReadDeadline(d) }
 
 func (t *transport) close() error { return t.c.Close() }
-
-// splitAddr maps a node address to a Go network/address pair: anything
-// with a "unix:" prefix or containing a path separator dials a unix
-// socket; everything else is TCP host:port.
-func splitAddr(addr string) (network, address string) {
-	if rest, ok := strings.CutPrefix(addr, "unix:"); ok {
-		return "unix", rest
-	}
-	if strings.Contains(addr, "/") {
-		return "unix", addr
-	}
-	return "tcp", addr
-}

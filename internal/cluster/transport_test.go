@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"hash/crc32"
 	"io"
 	"net"
 	"strings"
@@ -12,16 +11,16 @@ import (
 	"wdmsched/internal/metrics"
 	"wdmsched/internal/traffic"
 	"wdmsched/internal/wavelength"
+	"wdmsched/internal/wire"
 )
 
 // buildRawFrame composes a whole wire frame with an arbitrary version
 // byte — the v1-peer simulator for the version-negotiation tests.
 func buildRawFrame(version uint8, mt msgType, payload []byte) []byte {
-	b := putU16(nil, wireMagic)
-	b = append(b, version, byte(mt))
-	b = putU32(b, uint32(len(payload)))
-	b = append(b, payload...)
-	return putU32(b, crc32.ChecksumIEEE(payload))
+	p := proto
+	p.Version = version
+	b, _ := p.AppendFrame(nil, uint8(mt), payload)
+	return b
 }
 
 func testConv(t *testing.T) wavelength.Conversion {
@@ -110,7 +109,7 @@ func TestTransportFrameCounters(t *testing.T) {
 		done <- nil
 	}()
 	for i := 0; i < 3; i++ {
-		if err := a.send(msgPing, putU64(nil, uint64(i))); err != nil {
+		if err := a.send(msgPing, wire.U64(nil, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +183,7 @@ func TestVersionMismatchControllerAgainstV1Node(t *testing.T) {
 				if _, err := c.Read(buf); err != nil {
 					return
 				}
-				c.Write(buildRawFrame(1, msgHelloAck, putU64(nil, 0)))
+				c.Write(buildRawFrame(1, msgHelloAck, wire.U64(nil, 0)))
 				time.Sleep(time.Second)
 			}(c)
 		}
@@ -201,7 +200,7 @@ func TestVersionMismatchControllerAgainstV1Node(t *testing.T) {
 	if err == nil {
 		t.Fatal("v2 controller accepted a v1 node")
 	}
-	var verr *VersionError
+	var verr *wire.VersionError
 	if !errors.As(err, &verr) {
 		t.Fatalf("error is not a VersionError: %v", err)
 	}
@@ -228,11 +227,11 @@ func TestVersionMismatchV1ControllerAgainstNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Write(buildRawFrame(1, msgHello, putU64(nil, 42))); err != nil {
+	if _, err := c.Write(buildRawFrame(1, msgHello, wire.U64(nil, 42))); err != nil {
 		t.Fatal(err)
 	}
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	hdr := make([]byte, headerLen)
+	hdr := make([]byte, wire.HeaderLen)
 	if _, err := io.ReadFull(c, hdr); err != nil {
 		t.Fatalf("node sent no reply: %v", err)
 	}
@@ -243,13 +242,13 @@ func TestVersionMismatchV1ControllerAgainstNode(t *testing.T) {
 		t.Fatalf("rejection type %v, want %v", msgType(hdr[3]), msgError)
 	}
 	n := int(uint32(hdr[4])<<24 | uint32(hdr[5])<<16 | uint32(hdr[6])<<8 | uint32(hdr[7]))
-	body := make([]byte, n+crcLen)
+	body := make([]byte, n+wire.CRCLen)
 	if _, err := io.ReadFull(c, body); err != nil {
 		t.Fatal(err)
 	}
-	r := reader{b: body[:n]}
-	r.u64() // seq
-	msg := r.str()
+	r := wire.NewReader(body[:n])
+	r.U64() // seq
+	msg := r.Str()
 	if r.Err() != nil {
 		t.Fatalf("error payload malformed: %v", r.Err())
 	}

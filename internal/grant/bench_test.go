@@ -7,6 +7,7 @@ import (
 	"wdmsched/internal/interconnect"
 	"wdmsched/internal/telemetry"
 	"wdmsched/internal/wavelength"
+	"wdmsched/internal/wire"
 )
 
 // benchIngestService builds a service sized so one 64-request frame maps
@@ -32,13 +33,13 @@ func benchIngestService(tb testing.TB) (*Service, *session, []byte) {
 	sess := &session{tenant: t}
 
 	const frame = 64
-	b := putU32(nil, frame)
+	b := wire.U32(nil, frame)
 	for i := 0; i < frame; i++ {
-		b = putU64(b, uint64(i))   // id
-		b = putU32(b, uint32(i/8)) // in
-		b = putU16(b, uint16(i%8)) // wave
-		b = putU32(b, uint32(i%8)) // dest
-		b = putU16(b, 1)           // dur
+		b = wire.U64(b, uint64(i))   // id
+		b = wire.U32(b, uint32(i/8)) // in
+		b = wire.U16(b, uint16(i%8)) // wave
+		b = wire.U32(b, uint32(i%8)) // dest
+		b = wire.U16(b, 1)           // dur
 	}
 	return s, sess, b
 }

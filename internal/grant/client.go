@@ -5,6 +5,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"wdmsched/internal/wire"
 )
 
 // Client is one grant-service session, used by wdmload and tests. One
@@ -33,7 +35,7 @@ func Dial(addr, tenant string) (*Client, error) {
 
 // DialTimeout is Dial with an explicit dial-and-handshake deadline.
 func DialTimeout(addr, tenant string, timeout time.Duration) (*Client, error) {
-	network, address := splitAddr(addr)
+	network, address := wire.SplitAddr(addr)
 	conn, err := net.DialTimeout(network, address, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("grant: dial %s: %w", addr, err)
@@ -54,8 +56,8 @@ func DialTimeout(addr, tenant string, timeout time.Duration) (*Client, error) {
 		return nil, err
 	}
 	if mt == msgError {
-		r := reader{b: payload}
-		msg := r.str()
+		r := wire.NewReader(payload)
+		msg := r.Str()
 		conn.Close()
 		return nil, fmt.Errorf("grant: server rejected session: %s", msg)
 	}
@@ -63,17 +65,17 @@ func DialTimeout(addr, tenant string, timeout time.Duration) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("grant: expected hello-ack, got %v", mt)
 	}
-	r := reader{b: payload}
-	if got := r.u64(); got != nonce {
+	r := wire.NewReader(payload)
+	if got := r.U64(); got != nonce {
 		conn.Close()
 		return nil, fmt.Errorf("grant: hello-ack nonce mismatch")
 	}
-	c.N = int(r.u32())
-	c.K = int(r.u32())
-	c.Policy.Class = int(r.u8())
-	c.Policy.Rate = r.f64()
-	c.Policy.Burst = r.f64()
-	c.Policy.Queue = int(r.u32())
+	c.N = int(r.U32())
+	c.K = int(r.U32())
+	c.Policy.Class = int(r.U8())
+	c.Policy.Rate = r.F64()
+	c.Policy.Burst = r.F64()
+	c.Policy.Queue = int(r.U32())
 	if r.Err() != nil {
 		conn.Close()
 		return nil, fmt.Errorf("grant: malformed hello-ack")
@@ -90,16 +92,8 @@ func (c *Client) Submit(reqs []Req) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	b := putU32(c.enc[:0], uint32(len(reqs)))
-	for _, q := range reqs {
-		b = putU64(b, q.ID)
-		b = putU32(b, q.In)
-		b = putU16(b, q.Wave)
-		b = putU32(b, q.Dest)
-		b = putU16(b, q.Dur)
-	}
-	c.enc = b
-	return c.tr.send(msgSubmit, b)
+	c.enc = encSubmit(c.enc[:0], reqs)
+	return c.tr.send(msgSubmit, c.enc)
 }
 
 // Bye tells the server the client is done submitting and has collected
@@ -132,21 +126,21 @@ func (c *Client) Recv() (Event, error) {
 	if err != nil {
 		return Event{}, err
 	}
-	r := reader{b: payload}
+	r := wire.NewReader(payload)
 	switch mt {
 	case msgVerdicts:
-		count := int(r.u32())
+		count := int(r.U32())
 		if r.Err() != nil || count < 0 || count > maxBatch || r.Rem() != count*verdictItemLen {
 			return Event{}, fmt.Errorf("grant: malformed verdicts frame")
 		}
 		c.notices = c.notices[:0]
 		for i := 0; i < count; i++ {
 			c.notices = append(c.notices, Notice{
-				ID:      r.u64(),
-				Verdict: Verdict(r.u8()),
-				Slot:    r.i64(),
-				Channel: r.i16(),
-				WaitMS:  r.u32(),
+				ID:      r.U64(),
+				Verdict: Verdict(r.U8()),
+				Slot:    r.I64(),
+				Channel: r.I16(),
+				WaitMS:  r.U32(),
 			})
 		}
 		return Event{Notices: c.notices}, nil
@@ -159,7 +153,7 @@ func (c *Client) Recv() (Event, error) {
 		}
 		return Event{Ledger: &c.ledger}, nil
 	case msgError:
-		return Event{}, fmt.Errorf("grant: server error: %s", r.str())
+		return Event{}, fmt.Errorf("grant: server error: %s", r.Str())
 	}
 	return Event{}, fmt.Errorf("grant: unexpected frame %v", mt)
 }

@@ -17,6 +17,7 @@ import (
 	"wdmsched/internal/metrics"
 	"wdmsched/internal/telemetry"
 	"wdmsched/internal/traffic"
+	"wdmsched/internal/wire"
 )
 
 // Meta is the JSON-friendly description of a service run, embedded in
@@ -414,7 +415,7 @@ func (s *Service) Drain() {
 	s.mu.Unlock()
 	for _, sess := range sessions {
 		sess.wmu.Lock()
-		sess.enc = putString(sess.enc[:0], "draining: server stopped admitting; queued requests will still be answered")
+		sess.enc = wire.String(sess.enc[:0], "draining: server stopped admitting; queued requests will still be answered")
 		err := sess.enqueueLocked(msgDrain, sess.enc)
 		sess.wmu.Unlock()
 		if err != nil {
@@ -475,9 +476,9 @@ func (s *Service) serveSession(c net.Conn) {
 		tr.close()
 		return
 	}
-	r := reader{b: payload}
-	nonce := r.u64()
-	name := r.str()
+	r := wire.NewReader(payload)
+	nonce := r.U64()
+	name := r.Str()
 	if r.Err() != nil || name == "" {
 		s.sessionError(sess, "malformed hello")
 		tr.close()
@@ -602,8 +603,8 @@ func (s *Service) tenantLocked(name string) *tenant {
 // frame. This is the wire-facing hot path: steady-state it allocates
 // nothing (bounded queue, reused verdict buffer).
 func (s *Service) ingest(sess *session, payload []byte, recvNS int64) bool {
-	r := reader{b: payload}
-	count := int(r.u32())
+	r := wire.NewReader(payload)
+	count := int(r.U32())
 	if r.Err() != nil || count < 0 || count > maxBatch || r.Rem() != count*submitItemLen {
 		return false
 	}
@@ -632,11 +633,11 @@ func (s *Service) ingest(sess *session, payload []byte, recvNS int64) bool {
 	}
 	prev := admStart
 	for i := 0; i < count; i++ {
-		id := r.u64()
-		in := int32(r.u32())
-		wave := int32(r.u16())
-		dest := int32(r.u32())
-		dur := int32(r.u16())
+		id := r.U64()
+		in := int32(r.U32())
+		wave := int32(r.U16())
+		dest := int32(r.U32())
+		dur := int32(r.U16())
 		if int(in) >= n || int(dest) >= n || int(wave) >= k || dur < 1 {
 			s.mu.Unlock()
 			return false
@@ -742,26 +743,11 @@ func (s *Service) ingestFrame(sess *session, payload []byte, recvNS int64) (ok b
 	return true, s.writeVerdictsLocked(sess, sess.iv)
 }
 
-// writeVerdicts encodes and enqueues one verdicts frame under the
-// session write lock.
-func (s *Service) writeVerdicts(sess *session, notices []Notice) error {
-	sess.wmu.Lock()
-	defer sess.wmu.Unlock()
-	return s.writeVerdictsLocked(sess, notices)
-}
-
-// writeVerdictsLocked is writeVerdicts with sess.wmu already held.
+// writeVerdictsLocked encodes and enqueues one verdicts frame. Caller
+// holds sess.wmu.
 func (s *Service) writeVerdictsLocked(sess *session, notices []Notice) error {
-	b := putU32(sess.enc[:0], uint32(len(notices)))
-	for _, nt := range notices {
-		b = putU64(b, nt.ID)
-		b = append(b, byte(nt.Verdict))
-		b = putI64(b, nt.Slot)
-		b = putI16(b, nt.Channel)
-		b = putU32(b, nt.WaitMS)
-	}
-	sess.enc = b
-	return sess.enqueueLocked(msgVerdicts, b)
+	sess.enc = encVerdicts(sess.enc[:0], notices)
+	return sess.enqueueLocked(msgVerdicts, sess.enc)
 }
 
 // defaultEgressBuffer bounds a session's outbound frame backlog: verdicts
@@ -788,10 +774,11 @@ func (sess *session) enqueueLocked(mt msgType, payload []byte) error {
 	if sess.closing {
 		return errSessionClosing
 	}
-	if len(payload) > maxPayload {
-		return fmt.Errorf("grant: payload %d exceeds limit", len(payload))
+	out, err := proto.AppendFrame(sess.out, uint8(mt), payload)
+	if err != nil {
+		return err
 	}
-	sess.out = appendFrame(sess.out, mt, payload)
+	sess.out = out
 	sess.outN++
 	if len(sess.out) > sess.egressMax {
 		sess.werr = errEgressOverflow
@@ -860,7 +847,7 @@ func (s *Service) sessionWriter(sess *session) {
 // as the session's final frame and flushed by the writer on its way out.
 func (s *Service) sessionError(sess *session, msg string) {
 	sess.wmu.Lock()
-	sess.enc = putString(sess.enc[:0], msg)
+	sess.enc = wire.String(sess.enc[:0], msg)
 	if sess.wdone == nil {
 		sess.tr.send(msgError, sess.enc)
 	} else if sess.enqueueLocked(msgError, sess.enc) == nil {
@@ -1124,7 +1111,9 @@ func nonneg(ns int64) int64 {
 // into the stage histograms and offered to the exemplar ring — dead
 // sessions included (their verdicts have nowhere to go, but the ledger
 // booked them, and the stage counts must keep partitioning exactly like
-// the ledger does).
+// the ledger does). The session write lock spans the enqueue and the
+// observations, so a client never reads a verdict whose stage counts
+// are not yet recorded.
 func (s *Service) flushRound(granted, rejected int64) {
 	s.mu.Lock()
 	s.granted += granted
@@ -1144,8 +1133,11 @@ func (s *Service) flushRound(granted, rejected int64) {
 	for _, sess := range s.touched {
 		sess.inRound = false
 		var werr error
+		// wmu is held from the enqueue through the observations, so the
+		// writer cannot flush this frame before its stage counts exist.
+		sess.wmu.Lock()
 		if !sess.deadAtFlush && len(sess.pend) > 0 {
-			werr = s.writeVerdicts(sess, sess.pend)
+			werr = s.writeVerdictsLocked(sess, sess.pend)
 		}
 		if len(sess.pend) > 0 {
 			end := telemetry.NowNS()
@@ -1165,6 +1157,7 @@ func (s *Service) flushRound(granted, rejected int64) {
 				})
 			}
 		}
+		sess.wmu.Unlock()
 		sess.pend = sess.pend[:0]
 		sess.pendStage = sess.pendStage[:0]
 		if werr != nil {

@@ -1,15 +1,12 @@
 package grant
 
 import (
-	"bufio"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"net"
-	"strings"
 	"time"
 
 	"wdmsched/internal/metrics"
+	"wdmsched/internal/wire"
 )
 
 // transport frames grant-protocol messages over one connection. It is
@@ -20,11 +17,9 @@ import (
 // same way. Both frame buffers are reused, so the steady-state
 // send/receive path does not allocate.
 type transport struct {
-	c  net.Conn
-	br *bufio.Reader
-
+	c    net.Conn
+	fr   *wire.FrameReader
 	wbuf []byte // whole outgoing frame: header + payload + crc
-	rbuf []byte // incoming payload
 
 	// bytesOut/bytesIn and framesOut/framesIn, when non-nil, total the
 	// wire traffic for the wdm_grant_* telemetry series.
@@ -33,27 +28,15 @@ type transport struct {
 }
 
 func newTransport(c net.Conn) *transport {
-	return &transport{c: c, br: bufio.NewReaderSize(c, 64<<10)}
-}
-
-// appendFrame appends one framed message (header + payload + CRC) to dst
-// and returns the extended slice. Shared by the synchronous send path and
-// the server's per-session egress buffers.
-func appendFrame(dst []byte, mt msgType, payload []byte) []byte {
-	dst = putU16(dst, wireMagic)
-	dst = append(dst, wireVersion, byte(mt))
-	dst = putU32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	dst = putU32(dst, crc32.ChecksumIEEE(payload))
-	return dst
+	return &transport{c: c, fr: proto.NewFrameReader(c)}
 }
 
 // send frames and writes one message.
 func (t *transport) send(mt msgType, payload []byte) error {
-	if len(payload) > maxPayload {
-		return fmt.Errorf("grant: payload %d exceeds limit", len(payload))
+	var err error
+	if t.wbuf, err = proto.AppendFrame(t.wbuf[:0], uint8(mt), payload); err != nil {
+		return err
 	}
-	t.wbuf = appendFrame(t.wbuf[:0], mt, payload)
 	if _, err := t.c.Write(t.wbuf); err != nil {
 		return fmt.Errorf("grant: write %v: %w", mt, err)
 	}
@@ -69,41 +52,17 @@ func (t *transport) send(mt msgType, payload []byte) error {
 // recv reads one frame and returns its type and payload. The payload
 // slice is valid until the next recv.
 func (t *transport) recv() (msgType, []byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(t.br, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("grant: read header: %w", err)
-	}
-	if m := uint16(hdr[0])<<8 | uint16(hdr[1]); m != wireMagic {
-		return 0, nil, fmt.Errorf("grant: bad magic %#04x", m)
-	}
-	if hdr[2] != wireVersion {
-		return 0, nil, fmt.Errorf("grant: wire protocol version mismatch: peer speaks v%d, this build speaks v%d",
-			hdr[2], wireVersion)
-	}
-	mt := msgType(hdr[3])
-	n := int(uint32(hdr[4])<<24 | uint32(hdr[5])<<16 | uint32(hdr[6])<<8 | uint32(hdr[7]))
-	if n > maxPayload {
-		return 0, nil, fmt.Errorf("grant: payload length %d exceeds limit", n)
-	}
-	if cap(t.rbuf) < n+crcLen {
-		t.rbuf = make([]byte, n+crcLen)
-	}
-	buf := t.rbuf[:n+crcLen]
-	if _, err := io.ReadFull(t.br, buf); err != nil {
-		return 0, nil, fmt.Errorf("grant: read payload: %w", err)
+	mt, payload, err := t.fr.ReadFrame()
+	if err != nil {
+		return 0, nil, err
 	}
 	if t.bytesIn != nil {
-		t.bytesIn.Add(int64(headerLen + n + crcLen))
+		t.bytesIn.Add(int64(wire.HeaderLen + len(payload) + wire.CRCLen))
 	}
 	if t.framesIn != nil {
 		t.framesIn.Inc()
 	}
-	payload := buf[:n]
-	wantCRC := uint32(buf[n])<<24 | uint32(buf[n+1])<<16 | uint32(buf[n+2])<<8 | uint32(buf[n+3])
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return 0, nil, fmt.Errorf("grant: %v frame CRC mismatch (got %#08x want %#08x)", mt, got, wantCRC)
-	}
-	return mt, payload, nil
+	return msgType(mt), payload, nil
 }
 
 // setReadDeadline bounds the next read(s); zero clears it.
@@ -125,21 +84,3 @@ func (t *transport) closeWrite() error {
 }
 
 func (t *transport) close() error { return t.c.Close() }
-
-// SplitAddr maps a listen/dial address to a Go network/address pair, the
-// same way Dial does: anything with a "unix:" prefix or containing a path
-// separator is a unix socket; everything else is TCP host:port.
-func SplitAddr(addr string) (network, address string) { return splitAddr(addr) }
-
-// splitAddr maps a listen/dial address to a Go network/address pair:
-// anything with a "unix:" prefix or containing a path separator is a
-// unix socket; everything else is TCP host:port.
-func splitAddr(addr string) (network, address string) {
-	if rest, ok := strings.CutPrefix(addr, "unix:"); ok {
-		return "unix", rest
-	}
-	if strings.Contains(addr, "/") {
-		return "unix", addr
-	}
-	return "tcp", addr
-}

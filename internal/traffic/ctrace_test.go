@@ -333,3 +333,67 @@ func TestCompressedTraceEmptySlots(t *testing.T) {
 		t.Fatalf("end: %v, want io.EOF", err)
 	}
 }
+
+// FuzzTraceReader feeds arbitrary bytes to the compressed-trace reader,
+// both raw (the gzip layer) and gzip-wrapped (the slot decoder). It must
+// never panic, and any stream it reads cleanly to EOF must round-trip
+// through TraceWriter to the same packets and footer counts.
+func FuzzTraceReader(f *testing.F) {
+	gen, err := NewHeavyTail(Config{N: 3, K: 4, Seed: 5, Hold: HoldingTime{Mean: 2}}, 0.4, 1.6, 0.9)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var slots [][]Packet
+	for s := 0; s < 6; s++ {
+		slots = append(slots, gen.Generate(s, nil))
+	}
+	var buf bytes.Buffer
+	if err := (&Trace{N: 3, K: 4, Slots: slots}).WriteCompressed(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	gz, err := gzip.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	body, err := io.ReadAll(gz)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body)
+	f.Add([]byte("WDT2\x01\x01\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var zipped bytes.Buffer
+		zw := gzip.NewWriter(&zipped)
+		zw.Write(data)
+		zw.Close()
+		for _, stream := range [][]byte{data, zipped.Bytes()} {
+			tr, err := ReadCompressedTrace(bytes.NewReader(stream))
+			if err != nil {
+				continue
+			}
+			var again bytes.Buffer
+			if err := tr.WriteCompressed(&again); err != nil {
+				t.Fatalf("accepted trace does not re-encode: %v", err)
+			}
+			back, err := ReadCompressedTrace(&again)
+			if err != nil {
+				t.Fatalf("re-encoded trace unreadable: %v", err)
+			}
+			if back.N != tr.N || back.K != tr.K || len(back.Slots) != len(tr.Slots) {
+				t.Fatalf("shape/slots %dx%d/%d, want %dx%d/%d",
+					back.N, back.K, len(back.Slots), tr.N, tr.K, len(tr.Slots))
+			}
+			for s := range tr.Slots {
+				if len(back.Slots[s]) != len(tr.Slots[s]) {
+					t.Fatalf("slot %d: %d packets, want %d", s, len(back.Slots[s]), len(tr.Slots[s]))
+				}
+				for i, p := range tr.Slots[s] {
+					if back.Slots[s][i] != p {
+						t.Fatalf("slot %d packet %d: %+v, want %+v", s, i, back.Slots[s][i], p)
+					}
+				}
+			}
+		}
+	})
+}
