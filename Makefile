@@ -3,8 +3,9 @@
 # detector over the concurrent packages (the slot engine's worker pool in
 # internal/interconnect, the parallel breaker pool in internal/core, the
 # cluster and grant runtimes and the frame codec they share).
-# CI (.github/workflows/ci.yml) enforces `fmt-check` and `check` on every
-# push and pull request, plus short fuzz and benchmark smoke jobs, the
+# CI (.github/workflows/ci.yml) enforces `fmt-check`, `check` and the
+# `race-contended` lane on every push and pull request, plus short fuzz
+# and benchmark smoke jobs, the
 # `serve-smoke` grant-service integration run (wdmserve driven by wdmload
 # over loopback) and the bounded `soak-smoke` chaos run (SOAKSLOTS slots,
 # all three engines);
@@ -29,7 +30,7 @@ LOADCONNS ?= 4
 LOADRATE ?= 20000
 LOADREQS ?= 100000
 
-.PHONY: check vet build test race fmt fmt-check bench fuzz fuzz-short output trace \
+.PHONY: check vet build test race race-contended fmt fmt-check bench fuzz fuzz-short output trace \
 	bench-save bench-diff examples-smoke cluster-smoke serve-smoke soak soak-smoke \
 	replay-verify serve load top
 
@@ -48,6 +49,16 @@ race:
 	$(GO) test -race ./internal/interconnect ./internal/core ./internal/telemetry \
 		./internal/metrics ./internal/cluster ./internal/traffic ./internal/soak \
 		./internal/grant ./internal/wire
+
+# Contention lane: the race detector over the packages that publish
+# round-local accumulators and serve scrapes (grant round loop, metrics
+# batches, telemetry rings, frame reader) at GOMAXPROCS 1 and 4, five
+# times each, with the packages' test binaries running side by side so
+# they contend for the CPUs. Orderings that a quiet runner hides, such
+# as a verdict becoming visible before its stage counts, show here.
+race-contended:
+	$(GO) test -race -cpu 1,4 -count 5 -p 4 ./internal/grant ./internal/metrics \
+		./internal/telemetry ./internal/wire
 
 fmt:
 	gofmt -l -w .
@@ -69,8 +80,8 @@ fuzz:
 # equivalence fuzzer (masked degraded instances included), the
 # sequential-vs-distributed engine fuzzer, and the parsers of bytes from
 # outside the process: the shared frame reader under both protocols'
-# parameters, the cluster node's schedule and config decoders, and the
-# compressed trace reader.
+# parameters, the cluster node's schedule and config decoders, the
+# compressed trace reader and the incident-bundle reader.
 fuzz-short:
 	$(GO) test -fuzz FuzzCircularSchedulersAgree -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz FuzzSeqDistStatsEquivalence -fuzztime $(FUZZTIME) ./internal/interconnect
@@ -78,6 +89,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzNodeSchedule -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz FuzzNodeConfig -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz FuzzTraceReader -fuzztime $(FUZZTIME) ./internal/traffic
+	$(GO) test -fuzz FuzzReadBundle -fuzztime $(FUZZTIME) ./internal/telemetry
 
 # Append the next point of the perf-trajectory record: engine run-time
 # metrics as JSON in BENCH_<n>.json, n = first unused index. Commit the

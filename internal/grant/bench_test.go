@@ -133,8 +133,9 @@ func benchRoundService(tb testing.TB) (*Service, *session, []byte) {
 
 // BenchmarkGrantRound measures the full request lifecycle with the stage
 // clock and exemplar recording on: ingest, batch build, engine slot,
-// settle (six stage observations per request), verdict encode and
-// exemplar offers.
+// settle, verdict encode, the round's latency and stage batches (six
+// stage durations per request) merged into the histograms, and exemplar
+// offers.
 func BenchmarkGrantRound(b *testing.B) {
 	s, sess, payload := benchRoundService(b)
 	ingestAndRound(b, s, sess, payload)

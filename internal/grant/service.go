@@ -228,7 +228,9 @@ type Service struct {
 	// Telemetry.
 	latency                                *metrics.DurationHistogram
 	stages                                 [telemetry.NumGrantStages]*metrics.DurationHistogram
-	verdicts                               [8]metrics.Counter // indexed by Verdict
+	roundLatency                           metrics.DurationBatch                           // settle → flushRound (round loop only)
+	stageBatch                             [telemetry.NumGrantStages]metrics.DurationBatch // one session's waterfalls (round loop only)
+	verdicts                               [8]metrics.Counter                              // indexed by Verdict
 	rounds                                 metrics.Counter
 	sessionsGauge                          metrics.Gauge
 	bytesIn, bytesOut, framesIn, framesOut metrics.Counter
@@ -679,7 +681,7 @@ func (s *Service) ingest(sess *session, payload []byte, recvNS int64) bool {
 	}
 	s.mu.Unlock()
 	if len(sess.iv) > 0 {
-		s.latencyBatch(sess.iv, recvNS)
+		s.latency.ObserveN(time.Duration(telemetry.NowNS()-recvNS), int64(len(sess.iv)))
 	}
 	return true
 }
@@ -712,18 +714,6 @@ func (s *Service) admitLocked(t *tenant, nowNS int64) (Verdict, uint32) {
 // drainRetryMS is the RETRY-AFTER hint handed to submissions that race a
 // drain: long enough that a well-behaved client redirects elsewhere.
 const drainRetryMS = 5000
-
-// latencyBatch observes verdict-emission latency for a batch of notices
-// stamped at now.
-func (s *Service) latencyBatch(notices []Notice, recvNS int64) {
-	d := time.Duration(telemetry.NowNS() - recvNS)
-	if d < 0 {
-		d = 0
-	}
-	for range notices {
-		s.latency.Observe(d)
-	}
-}
 
 // ingestFrame runs one submit frame — admission booking plus the
 // immediate-verdict enqueue — entirely under the session write lock.
@@ -1071,16 +1061,12 @@ func (s *Service) runRound() error {
 
 // settle books one terminal verdict for a dispatched request onto its
 // session's round buffer, along with the stage waterfall computed from
-// the request's stamps and the round's batch/engine stamps. The egress
-// stage is stamped later, in flushRound. Ledger folding happens in
-// flushRound too.
+// the request's stamps and the round's batch/engine stamps, and stages
+// its latency in the round-local batch. The egress stage is stamped
+// later, in flushRound; the ledger, verdict-counter and latency folds
+// happen there too.
 func (s *Service) settle(req request, nt Notice, nowNS int64) {
-	s.verdicts[nt.Verdict].Inc()
-	d := time.Duration(nowNS - req.recvNS)
-	if d < 0 {
-		d = 0
-	}
-	s.latency.Observe(d)
+	s.roundLatency.Add(time.Duration(nowNS - req.recvNS))
 	rec := stageRec{start: req.recvNS, class: req.class}
 	rec.w[telemetry.StageIngest] = req.ingNS
 	rec.w[telemetry.StageAdmission] = req.admNS
@@ -1105,15 +1091,18 @@ func nonneg(ns int64) int64 {
 }
 
 // flushRound folds the round's tallies into the service and session
-// ledgers under the mutex, then writes every touched session's verdicts
-// frame outside it. After each session's frame lands in its egress
-// buffer the egress stage is stamped and the full waterfall is observed
-// into the stage histograms and offered to the exemplar ring — dead
-// sessions included (their verdicts have nowhere to go, but the ledger
-// booked them, and the stage counts must keep partitioning exactly like
-// the ledger does). The session write lock spans the enqueue and the
-// observations, so a client never reads a verdict whose stage counts
-// are not yet recorded.
+// ledgers under the mutex and publishes the round's verdict counts and
+// latencies in one merge, then writes every touched session's verdicts
+// frame. After each session's frame lands in its egress buffer the
+// egress stage is stamped, the session's waterfalls are added into
+// round-local stage batches and merged into the stage histograms, and
+// the session's requests are offered to the exemplar ring under one
+// ring lock (only requests above its retention floor build an
+// exemplar) — dead sessions included (their verdicts have nowhere to
+// go, but the ledger booked them, and the stage counts must keep
+// partitioning exactly like the ledger does). The session write lock
+// spans the enqueue and the merge, so a client never reads a verdict
+// whose stage counts are not yet recorded.
 func (s *Service) flushRound(granted, rejected int64) {
 	s.mu.Lock()
 	s.granted += granted
@@ -1129,12 +1118,15 @@ func (s *Service) flushRound(granted, rejected int64) {
 		sess.deadAtFlush = sess.dead
 	}
 	s.mu.Unlock()
+	s.verdicts[VerdictGranted].Add(granted)
+	s.verdicts[VerdictRejected].Add(rejected)
+	s.latency.Merge(&s.roundLatency)
 	ex := s.rec.Exemplars()
 	for _, sess := range s.touched {
 		sess.inRound = false
 		var werr error
-		// wmu is held from the enqueue through the observations, so the
-		// writer cannot flush this frame before its stage counts exist.
+		// wmu is held from the enqueue through the merge, so the writer
+		// cannot flush this frame before its stage counts exist.
 		sess.wmu.Lock()
 		if !sess.deadAtFlush && len(sess.pend) > 0 {
 			werr = s.writeVerdictsLocked(sess, sess.pend)
@@ -1143,18 +1135,28 @@ func (s *Service) flushRound(granted, rejected int64) {
 			end := telemetry.NowNS()
 			eg := nonneg(end - s.tEng1)
 			tname := sess.tenant.name
+			// Every request of a round shares its slot, so one OfferN
+			// covers the session's offers.
+			floor, full := ex.OfferN(sess.pend[0].Slot, len(sess.pend))
 			for i := range sess.pend {
 				rec := &sess.pendStage[i]
 				rec.w[telemetry.StageEgressWrite] = eg
 				for st := range rec.w {
-					s.stages[st].Observe(time.Duration(rec.w[st]))
+					s.stageBatch[st].Add(time.Duration(rec.w[st]))
+				}
+				total := nonneg(end - rec.start)
+				if full && total <= floor {
+					continue
 				}
 				nt := &sess.pend[i]
-				ex.Offer(telemetry.Exemplar{
+				floor, full = ex.Retain(telemetry.Exemplar{
 					ID: nt.ID, Tenant: tname, Class: rec.class, Slot: nt.Slot,
 					Verdict: nt.Verdict.String(), StartNS: rec.start,
-					TotalNS: nonneg(end - rec.start), Stages: rec.w,
+					TotalNS: total, Stages: rec.w,
 				})
+			}
+			for st := range s.stages {
+				s.stages[st].Merge(&s.stageBatch[st])
 			}
 		}
 		sess.wmu.Unlock()

@@ -9,7 +9,9 @@
 // still writing it (readers may observe a value mid-update — e.g. a
 // histogram whose total momentarily disagrees with its bucket sum by one —
 // but never tear or race). Welford guards its multi-word state with a
-// mutex instead; it lives off the per-slot hot path.
+// mutex instead; it lives off the per-slot hot path. DurationBatch is the
+// exception: a single writer's non-atomic staging area, published into a
+// DurationHistogram with one Merge.
 package metrics
 
 import (

@@ -58,21 +58,86 @@ type DurationHistogram struct {
 func NewDurationHistogram() *DurationHistogram { return &DurationHistogram{} }
 
 // Observe records one duration; negative durations count as zero.
-func (h *DurationHistogram) Observe(d time.Duration) {
+func (h *DurationHistogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n observations of the same duration in one step; it
+// is equivalent to n calls of Observe. n ≤ 0 records nothing.
+func (h *DurationHistogram) ObserveN(d time.Duration, n int64) {
+	if n <= 0 {
+		return
+	}
 	ns := int64(d)
 	if ns < 0 {
 		ns = 0
 	}
-	atomic.AddInt64(&h.buckets[bits.Len64(uint64(ns))], 1)
-	h.count.Add(1)
-	h.sum.Add(ns)
+	atomic.AddInt64(&h.buckets[bits.Len64(uint64(ns))], n)
+	h.count.Add(n)
+	h.sum.Add(ns * n)
+	h.raiseMax(ns)
+}
+
+// raiseMax lifts the running maximum to ns.
+func (h *DurationHistogram) raiseMax(ns int64) {
 	for {
 		cur := h.max.Load()
 		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
-			break
+			return
 		}
 	}
 }
+
+// Merge publishes a batch into h and clears the batch: one atomic add
+// per touched bucket, then the count and sum, then one CAS loop for the
+// max. Buckets land before the count, so a concurrent Quantile never
+// sees a count its buckets cannot cover. The result equals calling
+// Observe once per value the batch recorded.
+func (h *DurationHistogram) Merge(b *DurationBatch) {
+	if b.count == 0 {
+		return
+	}
+	for m := b.touched; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		atomic.AddInt64(&h.buckets[i], b.buckets[i])
+		b.buckets[i] = 0
+	}
+	h.count.Add(b.count)
+	h.sum.Add(b.sum)
+	h.raiseMax(b.max)
+	b.touched, b.count, b.sum, b.max = 0, 0, 0, 0
+}
+
+// DurationBatch stages observations for a DurationHistogram without
+// atomics: the same power-of-two buckets plus a mask of the touched
+// ones, a count, a sum and a max. It has a single writer and is not safe
+// for concurrent use; a hot loop adds into it and publishes the lot with
+// DurationHistogram.Merge, which costs one atomic add per touched bucket
+// instead of three per observation.
+type DurationBatch struct {
+	buckets [durationBuckets]int64
+	touched uint64 // bit b set when buckets[b] > 0
+	count   int64
+	sum     int64 // nanoseconds
+	max     int64 // nanoseconds
+}
+
+// Add stages one duration; negative durations count as zero.
+func (b *DurationBatch) Add(d time.Duration) {
+	ns := int64(d)
+	if ns < 0 {
+		ns = 0
+	}
+	i := bits.Len64(uint64(ns))
+	b.buckets[i]++
+	b.touched |= 1 << uint(i)
+	b.count++
+	b.sum += ns
+	if ns > b.max {
+		b.max = ns
+	}
+}
+
+// Count returns the number of staged observations.
+func (b *DurationBatch) Count() int64 { return b.count }
 
 // Count returns the number of observations.
 func (h *DurationHistogram) Count() int64 { return h.count.Load() }

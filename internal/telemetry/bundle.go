@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -240,6 +241,9 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 	if hdr.Name != BundleManifestName {
 		return nil, fmt.Errorf("bundle: first entry is %q, want %q", hdr.Name, BundleManifestName)
 	}
+	if err := checkRegular(hdr); err != nil {
+		return nil, err
+	}
 	manifestData, err := io.ReadAll(tr)
 	if err != nil {
 		return nil, fmt.Errorf("bundle: read manifest: %w", err)
@@ -277,6 +281,9 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 		if _, dup := b.files[hdr.Name]; dup {
 			return nil, fmt.Errorf("bundle: entry %q appears twice", hdr.Name)
 		}
+		if err := checkRegular(hdr); err != nil {
+			return nil, err
+		}
 		data, err := io.ReadAll(tr)
 		if err != nil {
 			return nil, fmt.Errorf("bundle: truncated entry %q: %w", hdr.Name, err)
@@ -300,6 +307,22 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 		return nil, fmt.Errorf("bundle: corrupt archive tail: %w", err)
 	}
 	return b, nil
+}
+
+// checkRegular refuses any entry BundleWriter does not write. A sparse
+// entry in particular reads back its holes as zeros the archive never
+// stored, so a few hundred bytes could make the reader allocate
+// gigabytes before the size check.
+func checkRegular(hdr *tar.Header) error {
+	if hdr.Typeflag != tar.TypeReg {
+		return fmt.Errorf("bundle: entry %q is not a regular file (type %q)", hdr.Name, hdr.Typeflag)
+	}
+	for k := range hdr.PAXRecords {
+		if strings.HasPrefix(k, "GNU.sparse.") {
+			return fmt.Errorf("bundle: entry %q is a sparse file", hdr.Name)
+		}
+	}
+	return nil
 }
 
 // ReadBundleFile opens and decodes a bundle from disk.

@@ -1,9 +1,13 @@
 package telemetry
 
 import (
+	"archive/tar"
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -132,5 +136,85 @@ func TestBundleRejectsDuplicateEntry(t *testing.T) {
 	w2.Add(BundleManifestName, []byte("shadow"))
 	if _, err := w2.WriteTo(&bytes.Buffer{}); err == nil {
 		t.Fatal("reserved manifest name accepted")
+	}
+}
+
+// gnuSparseBundle builds a bundle whose one listed entry is an old-GNU
+// sparse file claiming size bytes that are all hole: the archive stores
+// no data for it, so the whole bundle is a few hundred bytes.
+func gnuSparseBundle(t *testing.T, size int64) []byte {
+	t.Helper()
+	manifest, err := json.Marshal(BundleManifest{Version: BundleVersion, Tool: "t", Trigger: "request",
+		Files: []BundleEntry{{Name: "big", Size: size}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw bytes.Buffer
+	tw := tar.NewWriter(&raw)
+	for _, h := range []*tar.Header{
+		{Name: BundleManifestName, Mode: 0o644, Size: int64(len(manifest)), Format: tar.FormatGNU},
+		{Name: "big", Mode: 0o644, Format: tar.FormatGNU},
+	} {
+		if err := tw.WriteHeader(h); err != nil {
+			t.Fatal(err)
+		}
+		if h.Size > 0 {
+			tw.Write(manifest)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Turn the second header into a sparse one: type 'S', the real size
+	// at offset 483, an empty sparse map, and a fresh header checksum.
+	b := raw.Bytes()
+	h := b[512+(len(manifest)+511)/512*512:][:512]
+	h[156] = tar.TypeGNUSparse
+	copy(h[483:495], fmt.Sprintf("%011o\x00", size))
+	copy(h[148:156], "        ")
+	sum := 0
+	for _, c := range h {
+		sum += int(c)
+	}
+	copy(h[148:156], fmt.Sprintf("%06o\x00 ", sum))
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(b)
+	zw.Close()
+	return gz.Bytes()
+}
+
+// TestBundleRejectsNonRegularEntry pins that the reader refuses entries
+// BundleWriter never writes, before reading them: a sparse entry whose
+// 64 MiB are all hole must fail without allocating its claimed size
+// (read through io.ReadAll, this ~220-byte bundle costs ~390 MB of
+// allocation), and a symlink is refused too.
+func TestBundleRejectsNonRegularEntry(t *testing.T) {
+	const claimed = 64 << 20
+	sparse := gnuSparseBundle(t, claimed)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBundle(bytes.NewReader(sparse))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "not a regular file") {
+		t.Fatalf("sparse entry: err = %v, want a not-a-regular-file error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > claimed/16 {
+		t.Fatalf("reading a %d-byte bundle allocated %d bytes", len(sparse), grew)
+	}
+
+	var raw bytes.Buffer
+	tw := tar.NewWriter(&raw)
+	manifest, _ := json.Marshal(BundleManifest{Version: BundleVersion, Files: []BundleEntry{{Name: "link"}}})
+	tw.WriteHeader(&tar.Header{Name: BundleManifestName, Mode: 0o644, Size: int64(len(manifest))})
+	tw.Write(manifest)
+	tw.WriteHeader(&tar.Header{Name: "link", Typeflag: tar.TypeSymlink, Linkname: "/etc/passwd"})
+	tw.Close()
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(raw.Bytes())
+	zw.Close()
+	if _, err := ReadBundle(&gz); err == nil || !strings.Contains(err.Error(), "not a regular file") {
+		t.Fatalf("symlink entry: err = %v, want a not-a-regular-file error", err)
 	}
 }

@@ -155,6 +155,49 @@ func (r *ExemplarRing) Offer(e Exemplar) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.offered++
+	r.retainLocked(e)
+}
+
+// OfferN books n > 0 offers at slot under one lock acquisition and
+// returns the retention floor. When full is true, an exemplar of that
+// slot whose TotalNS is at or below floor would be dropped by Offer, and
+// stays dropped for the rest of the window, since the floor only rises
+// as slower requests enter; when full is false the window has room. A
+// batch of same-slot requests therefore matches Offer on each of them
+// when the caller hands only those above the current floor to Retain, in
+// order. The slot may roll the window, exactly as Offer's would.
+func (r *ExemplarRing) OfferN(slot int64, n int) (floor int64, full bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.offered += int64(n)
+	if slot >= r.winStart+r.window {
+		r.rollLocked(slot)
+	}
+	return r.floorLocked()
+}
+
+// Retain considers one exemplar whose offer OfferN already counted (it
+// is Offer without the count) and returns the floor after it, in
+// OfferN's terms.
+func (r *ExemplarRing) Retain(e Exemplar) (floor int64, full bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.retainLocked(e)
+	return r.floorLocked()
+}
+
+// floorLocked returns the fastest retained total once the current
+// window is full. Caller holds r.mu.
+func (r *ExemplarRing) floorLocked() (int64, bool) {
+	if len(r.cur) < r.k {
+		return 0, false
+	}
+	return r.cur[0].TotalNS, true
+}
+
+// retainLocked rolls the window if e's slot left it and inserts e when
+// it is slower than the fastest retained request. Caller holds r.mu.
+func (r *ExemplarRing) retainLocked(e Exemplar) {
 	if e.Slot >= r.winStart+r.window {
 		r.rollLocked(e.Slot)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -203,5 +205,60 @@ func TestExemplarRingDefaults(t *testing.T) {
 	r := NewExemplarRing(0, 0)
 	if r.K() != 16 || r.WindowSlots() != 1024 {
 		t.Errorf("defaults = K %d window %d, want 16/1024", r.K(), r.WindowSlots())
+	}
+}
+
+// TestExemplarRingOfferNMatchesOffer feeds one request sequence to two
+// rings: one by per-request Offer, one the way the grant round loop
+// does, a session's same-slot requests at a time through OfferN and a
+// Retain of only those above the returned floor. Totals repeat (ties at
+// the floor) and slots jump across window rollovers, gaps of several
+// windows included. After every batch both rings must hold an identical
+// Snapshot with identical Offered and Dropped counts.
+func TestExemplarRingOfferNMatchesOffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	per, batched := NewExemplarRing(4, 16), NewExemplarRing(4, 16)
+	var id uint64
+	slot := int64(0)
+	skipped := 0
+	for round := 0; round < 3000; round++ {
+		switch rng.Intn(50) {
+		case 0:
+			slot += 16 * int64(1+rng.Intn(3)) // whole windows go by
+		default:
+			slot += int64(rng.Intn(2))
+		}
+		for sess := 0; sess < 1+rng.Intn(3); sess++ {
+			n := 1 + rng.Intn(12)
+			batch := make([]Exemplar, n)
+			for i := range batch {
+				id++
+				total := int64(rng.Intn(40)) * 25
+				batch[i] = Exemplar{ID: id, Tenant: "t", Slot: slot, Verdict: "granted",
+					StartNS: int64(id), TotalNS: total,
+					Stages: StageDurations{total, 0, 0, 0, 0, 0}}
+				per.Offer(batch[i])
+			}
+			floor, full := batched.OfferN(slot, n)
+			for _, e := range batch {
+				if full && e.TotalNS <= floor {
+					skipped++
+					continue
+				}
+				floor, full = batched.Retain(e)
+			}
+			a, b := per.Snapshot(), batched.Snapshot()
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("round %d: snapshots differ:\nOffer:  %+v\nOfferN: %+v", round, a, b)
+			}
+			if per.Offered() != batched.Offered() || per.Dropped() != batched.Dropped() {
+				t.Fatalf("round %d: offered/dropped %d/%d vs %d/%d", round,
+					per.Offered(), per.Dropped(), batched.Offered(), batched.Dropped())
+			}
+		}
+	}
+	if per.rolls < 100 || skipped == 0 || per.Dropped() == 0 {
+		t.Fatalf("sequence too tame: %d rollovers, %d skipped below the floor, %d dropped",
+			per.rolls, skipped, per.Dropped())
 	}
 }

@@ -35,6 +35,9 @@ const (
 	HeaderLen = 8
 	// CRCLen is the size of the trailing payload checksum.
 	CRCLen = 4
+	// readChunk bounds how far the payload buffer grows ahead of the
+	// bytes a peer has actually sent.
+	readChunk = 64 << 10
 )
 
 // Protocol is one protocol's frame parameters. Name prefixes every error
@@ -74,8 +77,9 @@ func (p Protocol) AppendFrame(dst []byte, typ uint8, payload []byte) ([]byte, er
 }
 
 // FrameReader reads one protocol's frames from a stream through a
-// 64 KiB read buffer, reusing one payload buffer across frames. It is not
-// safe for concurrent use.
+// 64 KiB read buffer, reusing one payload buffer across frames. The
+// payload buffer grows with the bytes received, not with the length a
+// header claims. It is not safe for concurrent use.
 type FrameReader struct {
 	p   Protocol
 	br  *bufio.Reader
@@ -109,13 +113,25 @@ func (f *FrameReader) ReadFrame() (typ uint8, payload []byte, err error) {
 	if n > p.MaxPayload {
 		return 0, nil, fmt.Errorf("%s: payload length %d exceeds limit", p.Name, n)
 	}
-	if cap(f.buf) < n+CRCLen {
-		f.buf = make([]byte, n+CRCLen)
+	// The buffer grows as payload bytes arrive, at most readChunk ahead
+	// of them (doubling, capped at the frame), so a header alone cannot
+	// pin the cap's worth of memory.
+	total := n + CRCLen
+	buf := f.buf[:0]
+	for len(buf) < total {
+		m := min(total-len(buf), readChunk)
+		if cap(buf)-len(buf) < m {
+			grown := make([]byte, len(buf), min(max(2*cap(buf), len(buf)+m), total))
+			copy(grown, buf)
+			buf = grown
+		}
+		buf = buf[:len(buf)+m]
+		if _, err := io.ReadFull(f.br, buf[len(buf)-m:]); err != nil {
+			f.buf = buf[:0]
+			return 0, nil, fmt.Errorf("%s: read payload: %w", p.Name, err)
+		}
 	}
-	buf := f.buf[:n+CRCLen]
-	if _, err := io.ReadFull(f.br, buf); err != nil {
-		return 0, nil, fmt.Errorf("%s: read payload: %w", p.Name, err)
-	}
+	f.buf = buf
 	want := binary.BigEndian.Uint32(buf[n:])
 	if got := crc32.ChecksumIEEE(buf[:n]); got != want {
 		return 0, nil, fmt.Errorf("%s: type %d frame CRC mismatch (got %#08x want %#08x)", p.Name, typ, got, want)

@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // protocols are the parameters of the two protocols framed by this
@@ -123,6 +125,54 @@ func TestFrame(t *testing.T) {
 			t.Fatalf("latched error replaced: %v", r.Err())
 		}
 	})
+}
+
+// TestFrameReaderBoundsMemory pins that the payload buffer follows the
+// bytes received, not the length claimed: a peer that sends a header
+// claiming the protocol's cap and then stops raises the heap by at most
+// one read chunk. A frame longer than a chunk, dribbled in small reads,
+// still arrives intact, and once the buffer has grown, frames of that
+// size read without allocating.
+func TestFrameReaderBoundsMemory(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.Name, func(t *testing.T) {
+			headerOnly := rawFrame(p.Magic, p.Version, 1, uint32(p.MaxPayload), nil, 0)[:HeaderLen]
+			fr := p.NewFrameReader(bytes.NewReader(append(headerOnly, 1, 2, 3)))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := fr.ReadFrame()
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "read payload") {
+				t.Fatalf("header-only peer: err = %v, want a payload read error", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > readChunk+8<<10 {
+				t.Fatalf("header claiming %d bytes allocated %d, want at most one %d-byte chunk",
+					p.MaxPayload, grew, readChunk)
+			}
+
+			payload := make([]byte, 3*readChunk+17)
+			for i := range payload {
+				payload[i] = byte(i * 7)
+			}
+			var stream []byte
+			for i := 0; i < 12; i++ {
+				if stream, err = p.AppendFrame(stream, 5, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fr = p.NewFrameReader(iotest.HalfReader(bytes.NewReader(stream)))
+			read := func() {
+				typ, got, err := fr.ReadFrame()
+				if err != nil || typ != 5 || !bytes.Equal(got, payload) {
+					t.Fatalf("multi-chunk frame: type %d len %d err %v", typ, len(got), err)
+				}
+			}
+			read()
+			if a := testing.AllocsPerRun(10, read); a != 0 {
+				t.Fatalf("steady-state ReadFrame: %v allocs, want 0", a)
+			}
+		})
+	}
 }
 
 // TestEncodersRoundTrip decodes every encoder's output with the matching
